@@ -25,7 +25,9 @@ use sbc_kernels::{KernelBackend, KernelError, Kernels, Tile, Trans};
 use sbc_matrix::generate;
 use sbc_net::{inproc_mesh, Clock, Message, Payload, PeerStats, RealClock, RecvTimeout, Transport};
 use sbc_obs::{FaultKind, GaugeKind, NodeRecorder, Recorder};
-use sbc_taskgraph::{flops_priorities, EdgeKind, TaskGraph, TaskId, TaskKind, TileRef};
+use sbc_taskgraph::{
+    flops_priorities, EdgeKind, FieldHashMap, TaskGraph, TaskId, TaskKind, TileRef,
+};
 use sbc_topo::{SchedCtx, Scheduler};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
@@ -183,6 +185,118 @@ enum WaitKey {
     Orig(TileRef),
 }
 
+/// Where a local task's read operand comes from, resolved once per rank
+/// by the [`DispatchPlan`] instead of by scanning the task's predecessors
+/// on every read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    /// Written by a task on this rank: the current version in `local`.
+    Local,
+    /// Output of the given remote task, received into `cache`.
+    Remote(TaskId),
+    /// Original data: a fetched copy in `cache`, or, on its home rank,
+    /// generated into `local` on first use.
+    Original,
+}
+
+/// Per-task lists packed end to end (CSR), indexed by [`TaskId`]; tasks
+/// of other ranks have empty lists.
+struct Packed<T> {
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Packed<T> {
+    fn with_tasks(n: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        Packed {
+            offsets,
+            items: Vec::new(),
+        }
+    }
+
+    /// Ends the list of the next task in id order.
+    fn close(&mut self) {
+        self.offsets.push(self.items.len() as u32);
+    }
+
+    fn get(&self, t: TaskId) -> &[T] {
+        let t = t as usize;
+        &self.items[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    }
+}
+
+/// One rank's dispatch plan, built once from the graph before its workers
+/// start, so that dispatching a task only indexes into it: no predecessor
+/// scans per read, no successor walks per completion, no hashing of task
+/// ids.
+struct DispatchPlan {
+    /// Source of each read operand, in [`sbc_taskgraph::Task::reads`] order.
+    operands: Packed<Operand>,
+    /// Successors on this rank (data and ordering edges alike).
+    local_succs: Packed<TaskId>,
+    /// Distinct remote nodes the task's output is shipped to.
+    dests: Packed<u32>,
+    /// Which local tasks each remote arrival unblocks.
+    waits: FieldHashMap<WaitKey, Vec<TaskId>>,
+}
+
+impl DispatchPlan {
+    fn new(g: &TaskGraph, me: u32) -> Self {
+        let n = g.len();
+        let node = |t: TaskId| g.tasks()[t as usize].node;
+        let mut plan = DispatchPlan {
+            operands: Packed::with_tasks(n),
+            local_succs: Packed::with_tasks(n),
+            dests: Packed::with_tasks(n),
+            waits: FieldHashMap::default(),
+        };
+        let mut remote = Vec::new();
+        for t in 0..n as TaskId {
+            let task = g.tasks()[t as usize];
+            if task.node == me {
+                for (p, kind) in g.preds(t) {
+                    if node(p) != me {
+                        debug_assert_eq!(kind, EdgeKind::Data);
+                        let w = plan.waits.entry(WaitKey::Task(p)).or_default();
+                        if w.last() != Some(&t) {
+                            w.push(t);
+                        }
+                    }
+                }
+                for &r in task.reads(g.slices).as_slice() {
+                    let producer = g.preds(t).find(|&(p, kind)| {
+                        kind == EdgeKind::Data && g.tasks()[p as usize].output(g.slices) == r
+                    });
+                    plan.operands.items.push(match producer {
+                        Some((p, _)) if node(p) == me => Operand::Local,
+                        Some((p, _)) => Operand::Remote(p),
+                        None => Operand::Original,
+                    });
+                }
+                plan.local_succs
+                    .items
+                    .extend(g.succs(t).map(|(s, _)| s).filter(|&s| node(s) == me));
+                g.remote_consumer_nodes(t, &mut remote);
+                plan.dests.items.extend_from_slice(&remote);
+            }
+            plan.operands.close();
+            plan.local_succs.close();
+            plan.dests.close();
+        }
+        for f in g.initial_fetches() {
+            if f.dest == me {
+                plan.waits
+                    .entry(WaitKey::Orig(f.tile))
+                    .or_default()
+                    .extend(f.consumers.iter().copied());
+            }
+        }
+        plan
+    }
+}
+
 /// A ready heap entry: priority (descending), then TaskId (ascending) so
 /// pops are deterministic. Priorities are non-negative f32s stored as raw
 /// bits, which preserves their order.
@@ -196,7 +310,10 @@ struct ReadyTask {
 /// [`NodeScheduler::state`].
 struct SchedState {
     ready: BinaryHeap<ReadyTask>,
-    deps: HashMap<TaskId, u32>,
+    /// Outstanding dependencies per task, indexed by [`TaskId`] (graph
+    /// in-degree plus original-tile fetches); only this rank's entries
+    /// are ever decremented.
+    deps: Vec<u32>,
     /// Local tasks not yet completed; the node is done at zero.
     remaining: u64,
     /// Workers currently executing a kernel.
@@ -212,6 +329,21 @@ struct SchedState {
     error: Option<ExecError>,
 }
 
+impl SchedState {
+    /// Counts one satisfied dependency of local task `t`, queueing it once
+    /// none remain.
+    fn release(&mut self, t: TaskId, prio: u32) {
+        let d = &mut self.deps[t as usize];
+        *d -= 1;
+        if *d == 0 {
+            self.ready.push(ReadyTask {
+                prio,
+                task: std::cmp::Reverse(t),
+            });
+        }
+    }
+}
+
 /// Per-node scheduler: the dependency bookkeeping and message-apply loop
 /// factored out of the worker threads. Workers take the `state` lock only
 /// to pop/push ready tasks and update counters; tiles live in `RwLock`
@@ -221,12 +353,12 @@ struct NodeScheduler {
     state: Mutex<SchedState>,
     cv: Condvar,
     /// Tiles owned (generated or written) by this node.
-    local: RwLock<HashMap<TileRef, Tile>>,
+    local: RwLock<FieldHashMap<TileRef, Tile>>,
     /// Tiles received from other nodes, keyed by producer task or fetched
     /// original.
-    cache: RwLock<HashMap<WaitKey, Tile>>,
-    /// Which local tasks each remote arrival unblocks (immutable).
-    waits: HashMap<WaitKey, Vec<TaskId>>,
+    cache: RwLock<FieldHashMap<WaitKey, Tile>>,
+    /// The rank's precomputed dispatch plan (immutable).
+    plan: DispatchPlan,
     /// Original tiles this node must ship to remote consumers at startup.
     fetch_sends: Vec<(TileRef, u32)>,
     /// Payload messages received *and applied* (transport-injected
@@ -273,6 +405,7 @@ impl NodeScheduler {
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut missing: Vec<String> = self
+            .plan
             .waits
             .keys()
             .filter(|k| !cache.contains_key(k))
@@ -292,7 +425,7 @@ impl NodeScheduler {
 
 /// What one rank's execution produced, before any cross-rank merge.
 struct RankRun {
-    tiles: HashMap<TileRef, Tile>,
+    tiles: FieldHashMap<TileRef, Tile>,
     applied: u64,
     gathered: Vec<(TileRef, Tile)>,
     dones: Vec<(u32, PeerStats)>,
@@ -663,7 +796,7 @@ impl<'g> Executor<'g> {
 
         // rank 0: fold in anything that arrived during the run, then drain
         // the inbox until every worker rank has reported
-        let mut tiles = run.tiles;
+        let mut tiles: HashMap<TileRef, Tile> = run.tiles.into_iter().collect();
         tiles.extend(run.gathered);
         let mut peer: Vec<Option<PeerStats>> = vec![None; n];
         let mut done = 0usize;
@@ -758,58 +891,35 @@ impl<'g> Executor<'g> {
         let workers = self.workers_per_node(net.num_nodes());
         let prio_of = |t: TaskId| prio.get(t as usize).copied().unwrap_or(0);
 
-        // global dependency counts, restricted below to this rank's tasks
+        // dependency counters of every task; only this rank's are used
         let mut deps = g.in_degrees();
         for (t, extra) in g.fetch_deps().into_iter().enumerate() {
             deps[t] += extra;
         }
-
-        let mut local_deps: HashMap<TaskId, u32> = HashMap::new();
-        let mut ready: Vec<TaskId> = Vec::new();
+        let mut ready = BinaryHeap::new();
         let mut remaining = 0u64;
-        let mut waits: HashMap<WaitKey, Vec<TaskId>> = HashMap::new();
-        let mut fetch_sends: Vec<(TileRef, u32)> = Vec::new();
         for t in 0..g.len() as TaskId {
-            if g.tasks()[t as usize].node != me {
-                continue;
-            }
-            remaining += 1;
-            local_deps.insert(t, deps[t as usize]);
-            if deps[t as usize] == 0 {
-                ready.push(t);
-            }
-            for (p, kind) in g.preds(t) {
-                if g.tasks()[p as usize].node != me {
-                    debug_assert_eq!(kind, EdgeKind::Data);
-                    let w = waits.entry(WaitKey::Task(p)).or_default();
-                    if w.last() != Some(&t) {
-                        w.push(t);
-                    }
+            if g.tasks()[t as usize].node == me {
+                remaining += 1;
+                if deps[t as usize] == 0 {
+                    ready.push(ReadyTask {
+                        prio: prio_of(t),
+                        task: std::cmp::Reverse(t),
+                    });
                 }
             }
         }
-        for f in g.initial_fetches() {
-            if f.home == me {
-                fetch_sends.push((f.tile, f.dest));
-            }
-            if f.dest == me {
-                waits
-                    .entry(WaitKey::Orig(f.tile))
-                    .or_default()
-                    .extend(f.consumers.iter().copied());
-            }
-        }
+        let fetch_sends: Vec<(TileRef, u32)> = g
+            .initial_fetches()
+            .iter()
+            .filter(|f| f.home == me)
+            .map(|f| (f.tile, f.dest))
+            .collect();
 
         let sched = NodeScheduler {
             state: Mutex::new(SchedState {
-                ready: ready
-                    .into_iter()
-                    .map(|t| ReadyTask {
-                        prio: prio_of(t),
-                        task: std::cmp::Reverse(t),
-                    })
-                    .collect(),
-                deps: local_deps,
+                ready,
+                deps,
                 remaining,
                 active: 0,
                 receiving: false,
@@ -818,9 +928,9 @@ impl<'g> Executor<'g> {
                 error: None,
             }),
             cv: Condvar::new(),
-            local: RwLock::new(HashMap::new()),
-            cache: RwLock::new(HashMap::new()),
-            waits,
+            local: RwLock::new(FieldHashMap::default()),
+            cache: RwLock::new(FieldHashMap::default()),
+            plan: DispatchPlan::new(g, me),
             fetch_sends,
             applied: AtomicU64::new(0),
             gathered: Mutex::new(Vec::new()),
@@ -1079,7 +1189,6 @@ impl WorkerCtx<'_, '_> {
                         rank: self.me,
                         waiting_on: self.sched.describe_waiting(),
                     },
-                    obs,
                     false,
                 );
                 return false;
@@ -1149,32 +1258,27 @@ impl WorkerCtx<'_, '_> {
             }
         }
 
-        let store_tiles = self
-            .sched
-            .local
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len();
+        // the store size only feeds the TileStore gauge
+        let store_tiles = obs.is_some().then(|| {
+            self.sched
+                .local
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .len()
+        });
         let mut st = lock(&self.sched.state);
         if poisoned {
             st.poisoned = true;
         }
         for key in arrived {
-            if let Some(waiting) = self.sched.waits.get(&key) {
+            if let Some(waiting) = self.sched.plan.waits.get(&key) {
                 for &t in waiting {
-                    let d = st.deps.get_mut(&t).expect("waiting task is local");
-                    *d -= 1;
-                    if *d == 0 {
-                        st.ready.push(ReadyTask {
-                            prio: self.prio_of(t),
-                            task: std::cmp::Reverse(t),
-                        });
-                    }
+                    st.release(t, self.prio_of(t));
                 }
             }
         }
         st.receiving = false;
-        if let Some(o) = obs.as_mut() {
+        if let (Some(o), Some(store_tiles)) = (obs.as_mut(), store_tiles) {
             // sample scheduler state once per wakeup, not per task
             o.gauge(GaugeKind::TileStore, store_tiles as f64);
             o.gauge(GaugeKind::ReadyQueue, st.ready.len() as f64);
@@ -1199,7 +1303,6 @@ impl WorkerCtx<'_, '_> {
                         node: self.me,
                         error: e,
                     },
-                    obs,
                     true,
                 );
                 return;
@@ -1216,16 +1319,10 @@ impl WorkerCtx<'_, '_> {
             );
         }
 
-        // successors: local ones get a dependency decrement, remote ones a
-        // copy of the output (one message per distinct consumer node)
-        let mut consumer_nodes: Vec<u32> = Vec::new();
-        for (s, _) in self.g.succs(t) {
-            let snode = self.g.tasks()[s as usize].node;
-            if snode != self.me && !consumer_nodes.contains(&snode) {
-                consumer_nodes.push(snode);
-            }
-        }
-        if !consumer_nodes.is_empty() {
+        // successors: remote nodes get a copy of the output (one message
+        // per distinct consumer node), local ones a dependency decrement
+        let plan = &self.sched.plan;
+        if let Some((&last, rest)) = plan.dests.get(t).split_last() {
             let out = self
                 .sched
                 .local
@@ -1234,34 +1331,23 @@ impl WorkerCtx<'_, '_> {
                 .get(&self.g.tasks()[t as usize].output(self.c))
                 .expect("task output in local store")
                 .clone();
-            for &dest in &consumer_nodes {
-                self.send_payload(
-                    dest,
-                    Payload::Data {
-                        job: 0,
-                        producer: t,
-                        tile: out.clone(),
-                    },
-                    obs,
-                );
+            let data = |tile| Payload::Data {
+                job: 0,
+                producer: t,
+                tile,
+            };
+            for &dest in rest {
+                self.send_payload(dest, data(out.clone()), obs);
             }
+            self.send_payload(last, data(out), obs);
         }
 
         let done = {
             let mut st = lock(&self.sched.state);
             st.active -= 1;
             st.remaining -= 1;
-            for (s, _) in self.g.succs(t) {
-                if self.g.tasks()[s as usize].node == self.me {
-                    let d = st.deps.get_mut(&s).expect("successor on this node");
-                    *d -= 1;
-                    if *d == 0 {
-                        st.ready.push(ReadyTask {
-                            prio: self.prio_of(s),
-                            task: std::cmp::Reverse(s),
-                        });
-                    }
-                }
+            for &s in plan.local_succs.get(t) {
+                st.release(s, self.prio_of(s));
             }
             if let Some(o) = obs.as_mut() {
                 o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
@@ -1278,8 +1364,7 @@ impl WorkerCtx<'_, '_> {
     /// Records a local failure, poisons every other rank and unblocks this
     /// rank's receiver. `dec_active` is true only when called from a task
     /// execution path, which incremented the active-worker count.
-    fn fail(&self, e: ExecError, obs: &mut Option<NodeRecorder<'_>>, dec_active: bool) {
-        let _ = obs;
+    fn fail(&self, e: ExecError, dec_active: bool) {
         {
             let mut st = lock(&self.sched.state);
             if dec_active {
@@ -1303,50 +1388,45 @@ impl WorkerCtx<'_, '_> {
         self.net.wake();
     }
 
-    /// Resolves a read operand: remote original (fetch cache), remote
-    /// producer output (data cache), or local store (local producer or
-    /// local original, generated on first use).
-    fn resolve_read(&self, t: TaskId, r: TileRef) -> Tile {
-        let g = self.g;
-        // a data predecessor producing r?
-        for (p, kind) in g.preds(t) {
-            if kind == EdgeKind::Data && g.tasks()[p as usize].output(self.c) == r {
-                return if g.tasks()[p as usize].node == self.me {
-                    self.sched
-                        .local
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .get(&r)
-                        .expect("local producer wrote the tile")
-                        .clone()
-                } else {
-                    self.sched
-                        .cache
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .get(&WaitKey::Task(p))
-                        .expect("dependency ensured arrival")
-                        .clone()
-                };
+    /// Copies read operand `r` out of the store the dispatch plan names:
+    /// local producer output (local store), remote producer output (data
+    /// cache), or original data (fetch cache, or the local store,
+    /// generated on first use).
+    fn resolve_read(&self, operand: Operand, r: TileRef) -> Tile {
+        let local = || {
+            self.sched
+                .local
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        let cache = || {
+            self.sched
+                .cache
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        match operand {
+            Operand::Local => local()
+                .get(&r)
+                .expect("local producer wrote the tile")
+                .clone(),
+            Operand::Remote(p) => cache()
+                .get(&WaitKey::Task(p))
+                .expect("dependency ensured arrival")
+                .clone(),
+            Operand::Original => {
+                if let Some(tile) = cache().get(&WaitKey::Orig(r)) {
+                    return tile.clone();
+                }
+                self.sched
+                    .local
+                    .write()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .entry(r)
+                    .or_insert_with(|| self.exec.original(r))
+                    .clone()
             }
         }
-        // original data: fetched, or home-local (generate lazily)
-        if let Some(tile) = self
-            .sched
-            .cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&WaitKey::Orig(r))
-        {
-            return tile.clone();
-        }
-        self.sched
-            .local
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(r)
-            .or_insert_with(|| self.exec.original(r))
-            .clone()
     }
 
     /// Executes one task's kernel against the node-local stores.
@@ -1362,7 +1442,8 @@ impl WorkerCtx<'_, '_> {
         let read_tiles: Vec<Tile> = reads
             .as_slice()
             .iter()
-            .map(|&r| self.resolve_read(t, r))
+            .zip(self.sched.plan.operands.get(t))
+            .map(|(&r, &operand)| self.resolve_read(operand, r))
             .collect();
         let target_ref = task.output(self.c);
         let mut target = {

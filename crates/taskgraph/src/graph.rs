@@ -1,7 +1,7 @@
 //! Task graph storage and the superscalar dependency-inference builder.
 
+use crate::hash::FieldHashMap;
 use crate::task::{Task, TaskId, TileRef};
-use std::collections::HashMap;
 
 /// A transfer of *original* (never written in this graph) tile data from its
 /// home node to a consumer node, needed before the consumers can run.
@@ -223,11 +223,11 @@ pub struct GraphBuilder {
     tasks: Vec<Task>,
     // flat (consumer, encoded pred) pairs, turned into CSR at finish
     edge_list: Vec<(u32, u32)>,
-    data: HashMap<TileRef, DataState>,
+    data: FieldHashMap<TileRef, DataState>,
     /// Home node of original (input) data, for tiles consumed before any
     /// task writes them. Registered by builders of standalone operations.
-    homes: HashMap<TileRef, u32>,
-    fetches: HashMap<(TileRef, u32), Vec<TaskId>>,
+    homes: FieldHashMap<TileRef, u32>,
+    fetches: FieldHashMap<(TileRef, u32), Vec<TaskId>>,
     num_nodes: usize,
     nt: usize,
     slices: usize,
@@ -242,9 +242,9 @@ impl GraphBuilder {
         GraphBuilder {
             tasks: Vec::new(),
             edge_list: Vec::new(),
-            data: HashMap::new(),
-            homes: HashMap::new(),
-            fetches: HashMap::new(),
+            data: FieldHashMap::default(),
+            homes: FieldHashMap::default(),
+            fetches: FieldHashMap::default(),
             num_nodes,
             nt,
             slices,

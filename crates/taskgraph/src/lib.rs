@@ -28,6 +28,7 @@
 
 pub mod builders;
 pub mod graph;
+pub mod hash;
 pub mod priority;
 pub mod task;
 
@@ -36,5 +37,6 @@ pub use builders::{
     build_potri_remap, build_trtri,
 };
 pub use graph::{EdgeKind, GraphBuilder, InitialFetch, TaskGraph};
+pub use hash::FieldHashMap;
 pub use priority::{critical_path_length, critical_path_priorities, flops_cost, flops_priorities};
 pub use task::{Task, TaskId, TaskKind, TileRef};
