@@ -3,13 +3,18 @@
 //! kernels), dispatched through the [`Kernels`] trait.
 //!
 //! The `kernel_backends` group races every [`KernelBackend`] on the same
-//! GEMM shape the paper's runs spend their time in (`b = 256`, `C -= A·Bᵀ`)
-//! — under `SBC_BENCH_JSON` its records land in `BENCH_criterion.json`, so
-//! the blocked/naive speedup is a tracked datapoint, not folklore.
+//! GEMM shape the paper's runs spend their time in (`b = 256`, `C -= A·Bᵀ`),
+//! and on each kernel of the POTRF task graph (`gemm_nt`, `syrk`,
+//! `trsm_rlt`, `potrf`) at the tile sizes the repository benchmark runs
+//! (`b ∈ {8, 16, 32, 128}`) — under `SBC_BENCH_JSON` its records land in
+//! `BENCH_criterion.json` as `kernel_backends/<op>_<b>/<backend>`, so the
+//! per-op × per-b blocked/naive ratio is a tracked datapoint, not folklore.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sbc_kernels::reference::{random_lower_tile, random_spd_tile, random_tile};
-use sbc_kernels::{KernelBackend, Kernels, Tile, Trans};
+use sbc_kernels::{
+    flops_gemm, flops_potrf, flops_syrk, flops_trsm, KernelBackend, Kernels, Tile, Trans,
+};
 
 /// The backend the shape-sweep groups measure; the historical series was
 /// recorded against the naive kernels, so the series stays comparable.
@@ -46,6 +51,63 @@ fn bench_kernel_backends(c: &mut Criterion) {
             let mut ct = Tile::zeros(b);
             bench.iter(|| k.gemm(Trans::No, Trans::Yes, -1.0, &a, &bt, 1.0, &mut ct));
         });
+    }
+    for b in [8usize, 16, 32, 128] {
+        let a = random_tile(b, 11);
+        let bt = random_tile(b, 12);
+        let spd = random_spd_tile(b, 13);
+        let mut l = spd.clone();
+        KernelBackend::Naive.potrf(&mut l).unwrap();
+        let flops = |f: f64| Throughput::Elements(f.round() as u64);
+        // each op races the backends back to back; TRSM and POTRF
+        // overwrite their operand, so each call restores it in place first
+        // (an O(b²) copy, no allocation)
+        g.throughput(flops(flops_gemm(b)));
+        for k in BACKENDS {
+            g.bench_with_input(
+                BenchmarkId::new(format!("gemm_nt_{b}"), k),
+                &k,
+                |bench, &k| {
+                    let mut ct = Tile::zeros(b);
+                    bench.iter(|| k.gemm(Trans::No, Trans::Yes, -1.0, &a, &bt, 1.0, &mut ct));
+                },
+            );
+        }
+        g.throughput(flops(flops_syrk(b)));
+        for k in BACKENDS {
+            g.bench_with_input(BenchmarkId::new(format!("syrk_{b}"), k), &k, |bench, &k| {
+                let mut ct = Tile::zeros(b);
+                bench.iter(|| k.syrk(Trans::No, -1.0, &a, 1.0, &mut ct));
+            });
+        }
+        g.throughput(flops(flops_trsm(b)));
+        for k in BACKENDS {
+            g.bench_with_input(
+                BenchmarkId::new(format!("trsm_rlt_{b}"), k),
+                &k,
+                |bench, &k| {
+                    let mut x = Tile::zeros(b);
+                    bench.iter(|| {
+                        x.as_mut_slice().copy_from_slice(a.as_slice());
+                        k.trsm_right_lower_trans(1.0, &l, &mut x);
+                    });
+                },
+            );
+        }
+        g.throughput(flops(flops_potrf(b)));
+        for k in BACKENDS {
+            g.bench_with_input(
+                BenchmarkId::new(format!("potrf_{b}"), k),
+                &k,
+                |bench, &k| {
+                    let mut x = Tile::zeros(b);
+                    bench.iter(|| {
+                        x.as_mut_slice().copy_from_slice(spd.as_slice());
+                        k.potrf(&mut x).unwrap();
+                    });
+                },
+            );
+        }
     }
     g.finish();
 }

@@ -17,7 +17,7 @@
 //!   not used;
 //! * the `s != 0.0` skips and the `k`-ascending accumulation order of the
 //!   naive kernels are replicated, and ragged rows/columns run the same
-//!   scalar edge loops as the blocked backend.
+//!   edge code as the blocked backend.
 //!
 //! Only GEMM's `transa = No` forms — the microkernel that dominates the
 //! trailing update — are written with intrinsics; every other kernel of
@@ -148,24 +148,8 @@ mod imp {
             _mm256_storeu_pd(c3.as_mut_ptr().add(i0 + 4), acc3b);
             i0 += 8;
         }
-        // ragged rows: scalar accumulation in the identical k order
-        for i in i0..n {
-            let mut v0 = c0[i];
-            let mut v1 = c1[i];
-            let mut v2 = c2[i];
-            let mut v3 = c3[i];
-            for k in 0..n {
-                let av = a.col(k)[i];
-                v0 += blocked::s_val(transb, alpha, b, j0, k) * av;
-                v1 += blocked::s_val(transb, alpha, b, j0 + 1, k) * av;
-                v2 += blocked::s_val(transb, alpha, b, j0 + 2, k) * av;
-                v3 += blocked::s_val(transb, alpha, b, j0 + 3, k) * av;
-            }
-            c0[i] = v0;
-            c1[i] = v1;
-            c2[i] = v2;
-            c3[i] = v3;
-        }
+        // ragged rows: the blocked width ladder, identical k order
+        blocked::axpy_panel4(n, i0, transb, alpha, a, b, j0, c0, c1, c2, c3);
     }
 }
 

@@ -28,7 +28,11 @@
 //! The runtime crates resolve the backend as **env > builder > default**:
 //! the `SBC_KERNELS` environment variable (`naive` / `blocked` / `arch`)
 //! overrides whatever the builder requested ([`KernelBackend::resolve`]),
-//! and the default is [`KernelBackend::Naive`].
+//! and the default is [`KernelBackend::Blocked`], which is at least as
+//! fast as [`Naive`] for every kernel of the Cholesky task graph at every
+//! benchmarked tile size. [`Naive`] stays the ground truth the sequential
+//! reference algorithms run on. An unrecognized `SBC_KERNELS` value is
+//! ignored with a one-time warning on stderr.
 
 use crate::{blocked, KernelError, Tile, Trans};
 
@@ -36,10 +40,10 @@ use crate::{blocked, KernelError, Tile, Trans};
 /// variants compute bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
-    /// Reference loop nests (the default).
-    #[default]
+    /// Reference loop nests.
     Naive,
-    /// Cache-blocked, register-tiled portable kernels.
+    /// Cache-blocked, register-tiled portable kernels (the default).
+    #[default]
     Blocked,
     /// `std::arch` SIMD kernels (requires the `simd` cargo feature);
     /// silently falls back to [`KernelBackend::Blocked`] when the feature
@@ -72,11 +76,26 @@ impl KernelBackend {
     }
 
     /// The backend requested by the [`KERNELS_ENV`] environment variable,
-    /// if set to a recognized name.
+    /// if set to a recognized name. Any other value is ignored, with a
+    /// warning on stderr the first time it is seen.
     pub fn from_env() -> Option<KernelBackend> {
-        std::env::var(KERNELS_ENV)
-            .ok()
-            .and_then(|v| Self::parse(&v))
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        let value = std::env::var(KERNELS_ENV).ok()?;
+        match Self::parse_env(&value) {
+            Ok(k) => Some(k),
+            Err(warning) => {
+                WARNED.call_once(|| eprintln!("{warning}"));
+                None
+            }
+        }
+    }
+
+    /// Parses a [`KERNELS_ENV`] value, or returns the warning that names
+    /// the rejected value and the accepted names.
+    fn parse_env(value: &str) -> Result<KernelBackend, String> {
+        Self::parse(value).ok_or_else(|| {
+            format!("warning: ignoring {KERNELS_ENV}={value:?}; expected one of naive|blocked|arch")
+        })
     }
 
     /// Applies the selection precedence **env > builder > default**:
@@ -267,8 +286,16 @@ mod tests {
     }
 
     #[test]
-    fn default_is_naive() {
-        assert_eq!(KernelBackend::default(), KernelBackend::Naive);
+    fn default_is_blocked() {
+        assert_eq!(KernelBackend::default(), KernelBackend::Blocked);
+    }
+
+    #[test]
+    fn unrecognized_env_value_is_named_in_the_warning() {
+        assert_eq!(KernelBackend::parse_env("Naive"), Ok(KernelBackend::Naive));
+        let warning = KernelBackend::parse_env("navie").unwrap_err();
+        assert!(warning.contains("SBC_KERNELS=\"navie\""), "{warning}");
+        assert!(warning.contains("naive|blocked|arch"), "{warning}");
     }
 
     #[test]

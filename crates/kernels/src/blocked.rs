@@ -15,13 +15,17 @@
 //! * **Column panels** — the axpy-form updates (`gemm` No/·, `syrk` No,
 //!   the trailing updates of `potrf`) process [`NR`] destination columns
 //!   per sweep over the source operand, cutting source traffic by `NR`.
-//! * **Register microtiles** — within a panel, [`MR`] rows accumulate in
-//!   a `[f64; MR]` the compiler keeps in vector registers
-//!   (`chunks_exact`-style portable autovectorization; no intrinsics).
-//! * **Naive-order edges** — dimensions that are not multiples of
-//!   [`MR`]/[`NR`] fall back to scalar loops that walk the identical
-//!   `k`-ascending order, so ragged tiles are handled without any
-//!   special-case numerics.
+//! * **Register microtiles on a width ladder** — rows accumulate in a
+//!   `[f64; W]` the compiler keeps in vector registers (portable
+//!   autovectorization; no intrinsics). Rows are covered by microtiles
+//!   of width [`MR`], then 8, then 4, then single rows
+//!   (`width_ladder!`), so tiles shorter than `MR`, and row ranges that
+//!   start mid-tile such as a SYRK panel below the diagonal, still run
+//!   in fixed-width vector code. `trsm` solves its independent rows in
+//!   the same ladder of strips.
+//! * **Naive-order edges** — trailing columns that do not fill a panel
+//!   run the naive column loop, and a `potrf` tile shorter than `MR`
+//!   (nothing to block) runs the naive kernel itself.
 //!
 //! The `s != 0.0` sparsity skips of the naive kernels are respected by a
 //! cheap pre-scan: a panel whose scale stream contains an exact zero is
@@ -50,7 +54,10 @@ const MR: usize = 32;
 /// Destination columns updated together by one panel sweep.
 const NR: usize = 4;
 /// Panel width of the blocked Cholesky factorization.
-const PW: usize = 32;
+const PW: usize = 8;
+/// The strictly-upper offsets `(i, j)`, `i < j`, of an `NR x NR`
+/// diagonal block.
+const DIAG_BLOCK_UPPER: [(usize, usize); 6] = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)];
 
 /// Compiles the function body for the baseline ISA and, on `x86_64`, also
 /// under AVX2 and AVX-512F code generation; the public wrapper dispatches
@@ -90,6 +97,32 @@ macro_rules! multiversion {
             $impl_name($($arg),*)
         }
     };
+}
+
+/// Covers rows `row0..n` with microtiles of a width ladder — [`MR`],
+/// then 8, then 4, then single rows — calling `tile::<W>(i0, args..)`
+/// once per microtile, top to bottom. A tile shorter than `MR` (or a row
+/// range that starts mid-tile) still runs in fixed-width vector code.
+macro_rules! width_ladder {
+    ($row0:expr, $n:expr, $tile:ident($($arg:expr),*)) => {{
+        let (mut i0, n) = ($row0, $n);
+        while i0 + MR <= n {
+            $tile::<MR>(i0, $($arg),*);
+            i0 += MR;
+        }
+        while i0 + 8 <= n {
+            $tile::<8>(i0, $($arg),*);
+            i0 += 8;
+        }
+        if i0 + 4 <= n {
+            $tile::<4>(i0, $($arg),*);
+            i0 += 4;
+        }
+        while i0 < n {
+            $tile::<1>(i0, $($arg),*);
+            i0 += 1;
+        }
+    }};
 }
 
 /// Blocked `C := alpha * op(A) * op(B) + beta * C`; bit-identical to
@@ -174,12 +207,13 @@ pub(crate) fn panel_all_nonzero(n: usize, transb: Trans, alpha: f64, b: &Tile, j
 
 /// Register microkernel shared by the axpy-form updates: accumulates
 /// `col_t[i] += s(k, j0+t) * A[i,k]` over all `k` for rows `row0..n` of
-/// four destination columns, [`MR`] rows at a time. Branch-free: the
-/// caller has verified that no scale value is zero, so per output element
-/// the operation sequence is the naive one (ascending `k`).
+/// four destination columns, one `width_ladder!` microtile at a time.
+/// Branch-free: the caller has verified that no scale value is zero, so
+/// per output element the operation sequence is the naive one (ascending
+/// `k`) whatever the microtile width.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn axpy_panel4(
+pub(crate) fn axpy_panel4(
     n: usize,
     row0: usize,
     transb: Trans,
@@ -192,55 +226,53 @@ fn axpy_panel4(
     c2: &mut [f64],
     c3: &mut [f64],
 ) {
-    let mut i0 = row0;
-    while i0 + MR <= n {
-        let mut acc0: [f64; MR] = c0[i0..i0 + MR].try_into().unwrap();
-        let mut acc1: [f64; MR] = c1[i0..i0 + MR].try_into().unwrap();
-        let mut acc2: [f64; MR] = c2[i0..i0 + MR].try_into().unwrap();
-        let mut acc3: [f64; MR] = c3[i0..i0 + MR].try_into().unwrap();
-        for k in 0..n {
-            let s0 = s_val(transb, alpha, b, j0, k);
-            let s1 = s_val(transb, alpha, b, j0 + 1, k);
-            let s2 = s_val(transb, alpha, b, j0 + 2, k);
-            let s3 = s_val(transb, alpha, b, j0 + 3, k);
-            let av = &a.col(k)[i0..i0 + MR];
-            for m in 0..MR {
-                acc0[m] += s0 * av[m];
-            }
-            for m in 0..MR {
-                acc1[m] += s1 * av[m];
-            }
-            for m in 0..MR {
-                acc2[m] += s2 * av[m];
-            }
-            for m in 0..MR {
-                acc3[m] += s3 * av[m];
-            }
+    let mut c = [c0, c1, c2, c3];
+    width_ladder!(row0, n, axpy_microtile(n, transb, alpha, a, b, j0, &mut c));
+}
+
+/// One `W`-row microtile of [`axpy_panel4`]: rows `i0..i0 + W` of the
+/// four destination columns accumulate in `[f64; W]` registers over the
+/// full ascending-`k` sweep, then are stored back once.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn axpy_microtile<const W: usize>(
+    i0: usize,
+    n: usize,
+    transb: Trans,
+    alpha: f64,
+    a: &Tile,
+    b: &Tile,
+    j0: usize,
+    c: &mut [&mut [f64]; NR],
+) {
+    let [c0, c1, c2, c3] = c;
+    let mut acc0: [f64; W] = c0[i0..i0 + W].try_into().unwrap();
+    let mut acc1: [f64; W] = c1[i0..i0 + W].try_into().unwrap();
+    let mut acc2: [f64; W] = c2[i0..i0 + W].try_into().unwrap();
+    let mut acc3: [f64; W] = c3[i0..i0 + W].try_into().unwrap();
+    for k in 0..n {
+        let s0 = s_val(transb, alpha, b, j0, k);
+        let s1 = s_val(transb, alpha, b, j0 + 1, k);
+        let s2 = s_val(transb, alpha, b, j0 + 2, k);
+        let s3 = s_val(transb, alpha, b, j0 + 3, k);
+        let av: &[f64; W] = a.col(k)[i0..i0 + W].try_into().unwrap();
+        for m in 0..W {
+            acc0[m] += s0 * av[m];
         }
-        c0[i0..i0 + MR].copy_from_slice(&acc0);
-        c1[i0..i0 + MR].copy_from_slice(&acc1);
-        c2[i0..i0 + MR].copy_from_slice(&acc2);
-        c3[i0..i0 + MR].copy_from_slice(&acc3);
-        i0 += MR;
-    }
-    // ragged rows: scalar accumulation in the identical k order
-    for i in i0..n {
-        let mut v0 = c0[i];
-        let mut v1 = c1[i];
-        let mut v2 = c2[i];
-        let mut v3 = c3[i];
-        for k in 0..n {
-            let av = a.col(k)[i];
-            v0 += s_val(transb, alpha, b, j0, k) * av;
-            v1 += s_val(transb, alpha, b, j0 + 1, k) * av;
-            v2 += s_val(transb, alpha, b, j0 + 2, k) * av;
-            v3 += s_val(transb, alpha, b, j0 + 3, k) * av;
+        for m in 0..W {
+            acc1[m] += s1 * av[m];
         }
-        c0[i] = v0;
-        c1[i] = v1;
-        c2[i] = v2;
-        c3[i] = v3;
+        for m in 0..W {
+            acc2[m] += s2 * av[m];
+        }
+        for m in 0..W {
+            acc3[m] += s3 * av[m];
+        }
     }
+    c0[i0..i0 + W].copy_from_slice(&acc0);
+    c1[i0..i0 + W].copy_from_slice(&acc1);
+    c2[i0..i0 + W].copy_from_slice(&acc2);
+    c3[i0..i0 + W].copy_from_slice(&acc3);
 }
 
 /// One destination column in the exact naive order (including the
@@ -425,27 +457,19 @@ multiversion! {
         let n = c.dim();
         let mut j0 = 0;
         while j0 + NR <= n {
-            // triangular head rows [j, j0+NR): per-column naive order
-            for t in 0..NR {
-                let j = j0 + t;
-                let ccol = c.col_mut(j);
-                for k in 0..n {
-                    let s = alpha * a.get(j, k);
-                    if s != 0.0 {
-                        let acol = a.col(k);
-                        for i in j..j0 + NR {
-                            ccol[i] += s * acol[i];
-                        }
-                    }
-                }
-            }
-            // rectangular body rows [j0+NR, n)
             if panel_all_nonzero(n, Trans::Yes, alpha, a, j0) {
+                // the microtiles start on the diagonal, so they also
+                // accumulate the panel's six strictly-upper entries,
+                // which SYRK must leave untouched: put them back after
+                let upper = DIAG_BLOCK_UPPER.map(|(i, j)| c.get(j0 + i, j0 + j));
                 let (c0, c1, c2, c3) = four_cols_mut(c, j0);
-                axpy_panel4(n, j0 + NR, Trans::Yes, alpha, a, a, j0, c0, c1, c2, c3);
+                axpy_panel4(n, j0, Trans::Yes, alpha, a, a, j0, c0, c1, c2, c3);
+                for ((i, j), v) in DIAG_BLOCK_UPPER.into_iter().zip(upper) {
+                    c.set(j0 + i, j0 + j, v);
+                }
             } else {
                 for t in 0..NR {
-                    axpy_col_rows(n, j0 + NR, Trans::Yes, alpha, a, a, j0 + t, c.col_mut(j0 + t));
+                    axpy_col_rows(n, j0 + t, Trans::Yes, alpha, a, a, j0 + t, c.col_mut(j0 + t));
                 }
             }
             j0 += NR;
@@ -496,9 +520,11 @@ multiversion! {
 
 multiversion! {
     /// Blocked `B := alpha * B * L^{-T}`; bit-identical to
-    /// [`crate::trsm::naive_trsm_right_lower_trans`]. The `k < j` axpys
-    /// of each column are fused four at a time so `X[:,j]` makes one
-    /// pass through the cache per four updates instead of four.
+    /// [`crate::trsm::naive_trsm_right_lower_trans`]. The rows of `X`
+    /// are independent, so they are solved in `width_ladder!` strips: a
+    /// strip's column `j` accumulates in registers while the `k < j`
+    /// updates stream past it in ascending order, then is divided and
+    /// stored.
     pub(crate) fn trsm_right_lower_trans / trsm_right_lower_trans_impl(
         alpha: f64, l: &Tile, b: &mut Tile
     ) {
@@ -509,36 +535,35 @@ multiversion! {
                 *x *= alpha;
             }
         }
-        for j in 0..n {
-            {
-                let data = b.as_mut_slice();
-                let (lo, hi) = data.split_at_mut(j * n);
-                let xj = &mut hi[..n];
-                let mut pending: [(usize, f64); 4] = [(0, 0.0); 4];
-                let mut np = 0;
-                for k in 0..j {
-                    let s = l.get(j, k);
-                    if s != 0.0 {
-                        pending[np] = (k, s);
-                        np += 1;
-                        if np == 4 {
-                            fused_sub4(n, 0, xj, lo, &pending);
-                            np = 0;
-                        }
-                    }
+        width_ladder!(0, n, trsm_strip(l, b));
+    }
+}
+
+/// Rows `i0..i0 + W` of [`trsm_right_lower_trans`]: per element the
+/// naive sequence — the `k < j` subtractions in ascending `k`, skipping
+/// zero multipliers, then the division by `L[j,j]`.
+#[inline(always)]
+fn trsm_strip<const W: usize>(i0: usize, l: &Tile, b: &mut Tile) {
+    let n = b.dim();
+    let data = b.as_mut_slice();
+    for j in 0..n {
+        let (done, rest) = data.split_at_mut(j * n);
+        let xj = &mut rest[i0..i0 + W];
+        let mut acc: [f64; W] = (&*xj).try_into().unwrap();
+        for k in 0..j {
+            let s = l.get(j, k);
+            if s != 0.0 {
+                let xk: &[f64; W] = done[k * n + i0..k * n + i0 + W].try_into().unwrap();
+                for m in 0..W {
+                    acc[m] -= s * xk[m];
                 }
-                for &(k, s) in &pending[..np] {
-                    let x = &lo[k * n..k * n + n];
-                    for i in 0..n {
-                        xj[i] -= s * x[i];
-                    }
-                }
-            }
-            let d = l.get(j, j);
-            for x in b.col_mut(j) {
-                *x /= d;
             }
         }
+        let d = l.get(j, j);
+        for v in &mut acc {
+            *v /= d;
+        }
+        xj.copy_from_slice(&acc);
     }
 }
 
@@ -566,69 +591,138 @@ fn fused_sub4(n: usize, row0: usize, dst: &mut [f64], cols: &[f64], pending: &[(
 }
 
 multiversion! {
-    /// Blocked in-tile Cholesky; bit-identical to
-    /// [`crate::potrf::naive_potrf`] — including the
-    /// partially-factorized state left behind when a pivot fails.
+    /// The panel factorization behind [`potrf`], bit-identical to the
+    /// naive one — including the partially-factorized state left behind
+    /// when a pivot fails.
     ///
-    /// Right-looking with a panel twist: columns are factored in panels
-    /// of [`PW`]; the rank-`PW` update of the columns right of a panel
-    /// is deferred until the panel is done and then applied with fused
-    /// axpys (ascending `k`, so every trailing element still sees the
-    /// naive update order). On a pivot failure the deferred updates of
-    /// the completed pivots are flushed first, reproducing the naive
-    /// kernel's partial state exactly.
-    pub(crate) fn potrf / potrf_impl(a: &mut Tile) -> Result<(), KernelError> {
+    /// Columns are factored in panels of [`PW`]. Inside a panel the
+    /// factorization is left-looking: column `k` first receives the
+    /// updates of the panel's earlier pivots, fused four at a time, then
+    /// its own pivot. The columns right of the panel then receive the
+    /// whole panel's rank-`PW` update from [`trailing_update`]. Per
+    /// element the updates still arrive in ascending `k` with the naive
+    /// skips, before its own pivot step, so the operation sequence is the
+    /// naive one. On a pivot failure the columns right of it first
+    /// receive the updates they are owed, reproducing the naive partial
+    /// state.
+    fn potrf_panels / potrf_impl(a: &mut Tile) -> Result<(), KernelError> {
         let n = a.dim();
         let mut p = 0;
         while p < n {
             let pe = (p + PW).min(n);
-            // factor the panel; within-panel trailing updates happen
-            // immediately, updates to columns >= pe are deferred
             for k in p..pe {
+                update_columns(a, p, k, k, k + 1);
                 let akk = a.get(k, k);
                 if akk <= 0.0 || !akk.is_finite() {
-                    // reproduce the naive partial state: columns right of
-                    // the panel are still owed the updates of pivots p..k
-                    trailing_update(a, p, k, pe);
+                    update_columns(a, p, k, k + 1, n);
                     return Err(KernelError::NotPositiveDefinite(k));
                 }
                 let pivot = akk.sqrt();
                 a.set(k, k, pivot);
-                {
-                    let col = a.col_mut(k);
-                    for v in &mut col[k + 1..n] {
-                        *v /= pivot;
-                    }
-                }
-                for j in k + 1..pe {
-                    let s = a.get(j, k);
-                    if s != 0.0 {
-                        let data = a.as_mut_slice();
-                        let (lo, hi) = data.split_at_mut(j * n);
-                        let ck = &lo[k * n..k * n + n];
-                        let cj = &mut hi[..n];
-                        for i in j..n {
-                            cj[i] -= s * ck[i];
-                        }
-                    }
+                for v in &mut a.col_mut(k)[k + 1..n] {
+                    *v /= pivot;
                 }
             }
-            trailing_update(a, p, pe, pe);
+            trailing_update(a, p, pe);
             p = pe;
         }
         Ok(())
     }
 }
 
-/// Applies the deferred rank-`(kend - kstart)` update of pivots
-/// `kstart..kend` to every column `j >= jstart`, rows `j..n`, fusing up
-/// to four pivot columns per pass. The multipliers `a[j,k]` live in the
-/// finished panel columns, which receive no further writes, so reading
-/// them up front is exact.
+/// Applies the updates of the finished pivots `kstart..kend` to every
+/// column right of them, rows `j..n` of column `j`: panels of [`NR`]
+/// columns accumulate in `width_ladder!` microtiles over all the pivots
+/// at once; a panel with a zero multiplier, and the columns that do not
+/// fill a panel, take [`update_columns`] for the naive skips.
 #[inline(always)]
-fn trailing_update(a: &mut Tile, kstart: usize, kend: usize, jstart: usize) {
+fn trailing_update(a: &mut Tile, kstart: usize, kend: usize) {
     let n = a.dim();
-    for j in jstart..n {
+    let mut j0 = kend;
+    while j0 + NR <= n {
+        let nonzero = (kstart..kend).all(|k| (0..NR).all(|t| a.get(j0 + t, k) != 0.0));
+        if nonzero {
+            // the microtiles start on the diagonal: put back the panel's
+            // strictly-upper entries, which the naive kernel never touches
+            let upper = DIAG_BLOCK_UPPER.map(|(i, j)| a.get(j0 + i, j0 + j));
+            let (done, rest) = a.as_mut_slice().split_at_mut(j0 * n);
+            let (c0, rest) = rest.split_at_mut(n);
+            let (c1, rest) = rest.split_at_mut(n);
+            let (c2, rest) = rest.split_at_mut(n);
+            let mut c = [c0, c1, c2, &mut rest[..n]];
+            width_ladder!(j0, n, sub_microtile(n, done, kstart, kend, j0, &mut c));
+            for ((i, j), v) in DIAG_BLOCK_UPPER.into_iter().zip(upper) {
+                a.set(j0 + i, j0 + j, v);
+            }
+        } else {
+            update_columns(a, kstart, kend, j0, j0 + NR);
+        }
+        j0 += NR;
+    }
+    update_columns(a, kstart, kend, j0, n);
+}
+
+/// One `W`-row microtile of [`trailing_update`]: rows `i0..i0 + W` of
+/// the four columns `j0..j0 + NR` receive `-= L[j,k] * L[i,k]` for every
+/// pivot `k` in ascending order, in registers.
+#[inline(always)]
+fn sub_microtile<const W: usize>(
+    i0: usize,
+    n: usize,
+    done: &[f64],
+    kstart: usize,
+    kend: usize,
+    j0: usize,
+    c: &mut [&mut [f64]; NR],
+) {
+    let [c0, c1, c2, c3] = c;
+    let mut acc0: [f64; W] = c0[i0..i0 + W].try_into().unwrap();
+    let mut acc1: [f64; W] = c1[i0..i0 + W].try_into().unwrap();
+    let mut acc2: [f64; W] = c2[i0..i0 + W].try_into().unwrap();
+    let mut acc3: [f64; W] = c3[i0..i0 + W].try_into().unwrap();
+    for k in kstart..kend {
+        let col = &done[k * n..k * n + n];
+        let (s0, s1, s2, s3) = (col[j0], col[j0 + 1], col[j0 + 2], col[j0 + 3]);
+        let x: &[f64; W] = col[i0..i0 + W].try_into().unwrap();
+        for m in 0..W {
+            acc0[m] -= s0 * x[m];
+        }
+        for m in 0..W {
+            acc1[m] -= s1 * x[m];
+        }
+        for m in 0..W {
+            acc2[m] -= s2 * x[m];
+        }
+        for m in 0..W {
+            acc3[m] -= s3 * x[m];
+        }
+    }
+    c0[i0..i0 + W].copy_from_slice(&acc0);
+    c1[i0..i0 + W].copy_from_slice(&acc1);
+    c2[i0..i0 + W].copy_from_slice(&acc2);
+    c3[i0..i0 + W].copy_from_slice(&acc3);
+}
+
+/// Blocked in-tile Cholesky; bit-identical to
+/// [`crate::potrf::naive_potrf`]. A tile shorter than one microtile has
+/// nothing to block: its columns are shorter than one iteration of the
+/// wide-vector loops, so it runs the naive loop itself.
+pub(crate) fn potrf(a: &mut Tile) -> Result<(), KernelError> {
+    if a.dim() < MR {
+        return crate::potrf::naive_potrf(a);
+    }
+    potrf_panels(a)
+}
+
+/// Applies the updates of pivots `kstart..kend` to columns
+/// `jstart..jend`, rows `j..n` of each column `j`, fusing up to four
+/// pivot columns per pass. The multipliers `a[j,k]` live in finished
+/// pivot columns, which receive no further writes, so reading them up
+/// front is exact.
+#[inline(always)]
+fn update_columns(a: &mut Tile, kstart: usize, kend: usize, jstart: usize, jend: usize) {
+    let n = a.dim();
+    for j in jstart..jend {
         let data = a.as_mut_slice();
         let (lo, hi) = data.split_at_mut(j * n);
         let cj = &mut hi[..n];

@@ -27,7 +27,7 @@
 //! (`std::arch` SIMD behind the `simd` cargo feature, with runtime
 //! fallback to `Blocked`). All backends produce **bit-identical** results;
 //! selection precedence is the `SBC_KERNELS` env var, then the builder,
-//! then the `Naive` default. All entry points go through [`Kernels`]; the
+//! then the `Blocked` default. All entry points go through [`Kernels`]; the
 //! per-operation modules only expose the reference implementations
 //! crate-internally.
 //!

@@ -163,3 +163,76 @@ proptest! {
         }
     }
 }
+
+/// Every row count at which the blocked width ladder (`32 -> 8 -> 4 ->
+/// 1` rows) changes shape, up to the benchmarked `b = 128`: each width,
+/// one past it, and mixes such as `45 = 32 + 8 + 4 + 1`.
+const LADDER_DIMS: [usize; 24] = [
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 31, 32, 33, 36, 37, 40, 41, 44, 45, 64, 127, 128,
+];
+
+/// An SPD tile whose rows/columns `i = 1, 4, 7, ...` are decoupled: their
+/// off-diagonal lower entries are planted `-0.0` (left of the diagonal)
+/// and `0.0` (below it). A principal submatrix of an SPD matrix is SPD,
+/// so the tile stays SPD while its factor carries exact zeros of both
+/// signs into the `s != 0.0` skips.
+fn spd_with_zeros(b: usize, seed: u64) -> Tile {
+    let mut t = random_spd_tile(b, seed);
+    for i in (1..b).step_by(3) {
+        for j in 0..i {
+            t.set(i, j, -0.0);
+        }
+        for j in i + 1..b {
+            t.set(j, i, 0.0);
+        }
+    }
+    t
+}
+
+#[test]
+fn potrf_graph_kernels_bitwise_equal_at_every_ladder_width() {
+    for (case, &b) in LADDER_DIMS.iter().enumerate() {
+        for plant_zeros in [false, true] {
+            let seed = 0x5bc0 + case as u64;
+            let a = tile_with_zeros(b, seed, plant_zeros);
+            let bt = tile_with_zeros(b, seed ^ 1, plant_zeros);
+            let mut rng = SplitMix64::new(seed ^ 2);
+            let c0 = Tile::from_fn(b, |_, _| rng.next_signed());
+            let spd = if plant_zeros {
+                spd_with_zeros(b, seed ^ 3)
+            } else {
+                random_spd_tile(b, seed ^ 3)
+            };
+            let mut l = spd.clone();
+            KernelBackend::Naive.potrf(&mut l).unwrap();
+
+            let naive = KernelBackend::Naive;
+            let mut gemm_nn = c0.clone();
+            naive.gemm(Trans::No, Trans::No, -1.0, &a, &bt, 1.0, &mut gemm_nn);
+            let mut gemm_nt = c0.clone();
+            naive.gemm(Trans::No, Trans::Yes, -1.0, &a, &bt, 1.0, &mut gemm_nt);
+            let mut syrk = c0.clone();
+            naive.syrk(Trans::No, -1.0, &a, 1.0, &mut syrk);
+            let mut trsm = a.clone();
+            naive.trsm_right_lower_trans(1.0, &l, &mut trsm);
+            for k in ALL {
+                let what = format!("b={b} zeros={plant_zeros} on {k}");
+                let mut c = c0.clone();
+                k.gemm(Trans::No, Trans::No, -1.0, &a, &bt, 1.0, &mut c);
+                assert!(bits_eq(&gemm_nn, &c), "gemm No/No {what}");
+                let mut c = c0.clone();
+                k.gemm(Trans::No, Trans::Yes, -1.0, &a, &bt, 1.0, &mut c);
+                assert!(bits_eq(&gemm_nt, &c), "gemm No/Yes {what}");
+                let mut c = c0.clone();
+                k.syrk(Trans::No, -1.0, &a, 1.0, &mut c);
+                assert!(bits_eq(&syrk, &c), "syrk {what}");
+                let mut x = a.clone();
+                k.trsm_right_lower_trans(1.0, &l, &mut x);
+                assert!(bits_eq(&trsm, &x), "trsm {what}");
+                let mut f = spd.clone();
+                k.potrf(&mut f).unwrap();
+                assert!(bits_eq(&l, &f), "potrf {what}");
+            }
+        }
+    }
+}

@@ -14,11 +14,13 @@
 use crate::storage::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
 use sbc_kernels::{KernelBackend, KernelError, Kernels, Trans};
 
-/// Kernel backend for the sequential sweeps: [`KernelBackend::Naive`]
-/// unless the `SBC_KERNELS` environment variable overrides it. All
-/// backends are bit-identical, so the override changes speed only.
+/// Kernel backend for the sequential sweeps: [`KernelBackend::Naive`],
+/// whatever the runtime default is, unless the `SBC_KERNELS` environment
+/// variable overrides it. All backends are bit-identical, so pinning the
+/// reference loops here makes every "equal to sequential" check on a
+/// default-backend run a cross-backend check as well.
 fn kernels() -> KernelBackend {
-    KernelBackend::resolve(KernelBackend::default())
+    KernelBackend::resolve(KernelBackend::Naive)
 }
 
 /// Tiled Cholesky factorization (Algorithm 1): on success the lower tiles of

@@ -591,7 +591,7 @@ impl<'g> ExecutorBuilder<'g> {
     }
 
     /// Kernel backend the worker threads dispatch through (default
-    /// [`KernelBackend::Naive`]). The `SBC_KERNELS` environment variable,
+    /// [`KernelBackend::Blocked`]). The `SBC_KERNELS` environment variable,
     /// when set, overrides this value at [`build`](Self::build) time. All
     /// backends produce bit-identical tiles, so this knob changes speed,
     /// never results.

@@ -294,7 +294,7 @@ impl<'a> Run<'a> {
     }
 
     /// Kernel backend the worker threads dispatch through (default
-    /// [`KernelBackend::Naive`]); the `SBC_KERNELS` environment variable
+    /// [`KernelBackend::Blocked`]); the `SBC_KERNELS` environment variable
     /// overrides it. Backends are bit-identical — factors, residuals and
     /// communication statistics do not depend on this knob, only speed
     /// does.

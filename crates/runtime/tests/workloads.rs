@@ -282,6 +282,47 @@ fn kernel_backends_do_not_change_results_or_traffic() {
     k.potrf(&mut t).unwrap();
 }
 
+#[test]
+fn kernel_backends_agree_end_to_end_across_the_width_ladder() {
+    // b = 45 = 32 + 8 + 4 + 1 rows: every microtile width of the blocked
+    // kernels runs inside a distributed factorization, and the factor must
+    // still equal the sequential reference (which runs the naive loops)
+    // bit for bit, with identical communication statistics
+    use sbc_runtime::KernelBackend;
+    let dist = SbcExtended::new(4);
+    let (nt, b) = (6, 45);
+    let mut expect = random_spd(SEED, nt, b);
+    potrf_tiled(&mut expect).unwrap();
+    let mut stats = Vec::new();
+    for kernels in [
+        KernelBackend::Naive,
+        KernelBackend::Blocked,
+        KernelBackend::Arch,
+    ] {
+        let out = Run::potrf(&dist, nt)
+            .block(b)
+            .seed(SEED)
+            .workers(2)
+            .kernels(kernels)
+            .execute()
+            .unwrap();
+        for (i, j) in expect.tile_coords() {
+            let same = expect
+                .tile(i, j)
+                .as_slice()
+                .iter()
+                .zip(out.factor().tile(i, j).as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(
+                same,
+                "tile ({i},{j}) differs from sequential under {kernels}"
+            );
+        }
+        stats.push(out.stats);
+    }
+    assert!(stats.windows(2).all(|w| w[0] == w[1]), "comm stats differ");
+}
+
 /// A tiny SPD tile for the object-safety probe above.
 fn sbc_kernels_identity_probe() -> sbc_kernels::Tile {
     sbc_kernels::Tile::from_fn(4, |i, j| if i == j { 4.0 } else { 1.0 })
